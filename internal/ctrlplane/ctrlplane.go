@@ -93,17 +93,17 @@ type Channel struct {
 	Epoch uint64
 
 	// Counters for control-plane overhead and reliability experiments.
-	FlowMods    uint64
-	GroupMods   uint64
-	PacketOuts  uint64
-	Deletes     uint64
-	Barriers    uint64
-	Echoes      uint64
-	Heartbeats  uint64 // controller-to-controller liveness beats sent
-	Dumps       uint64 // flow-table dump (stats request) messages
-	Retransmits uint64 // attempts beyond the first
-	Timeouts    uint64 // ack timers that expired
-	GiveUps     uint64 // messages abandoned after MaxRetries
+	FlowMods     uint64
+	GroupMods    uint64
+	PacketOuts   uint64
+	Deletes      uint64
+	Barriers     uint64
+	Echoes       uint64
+	Heartbeats   uint64 // controller-to-controller liveness beats sent
+	Dumps        uint64 // flow-table dump (stats request) messages
+	Retransmits  uint64 // attempts beyond the first
+	Timeouts     uint64 // ack timers that expired
+	GiveUps      uint64 // messages abandoned after MaxRetries
 	Acked        uint64 // messages positively acknowledged
 	TableFulls   uint64 // FlowMods the switch refused with a table-full reply
 	StaleRejects uint64 // mutations the switch refused for a stale fencing epoch

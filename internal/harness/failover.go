@@ -172,7 +172,7 @@ func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, er
 	staleN, _ := cl.Audit()
 	return s8Outcome{
 		goodput:    s7Goodput(got, start, end, eng.Now()),
-		blackoutMs: time.Duration(probeDone - probeIssued).Seconds() * 1e3,
+		blackoutMs: time.Duration(probeDone-probeIssued).Seconds() * 1e3,
 		stale:      float64(staleN),
 	}, nil
 }

@@ -201,8 +201,8 @@ func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
 		rejects += sw.StaleRejected
 	}
 	return s11Outcome{
-		splitBlackoutMs:  time.Duration(splitDone - splitIssued).Seconds() * 1e3,
-		zombieBlackoutMs: time.Duration(zombieDone - zombieIssued).Seconds() * 1e3,
+		splitBlackoutMs:  time.Duration(splitDone-splitIssued).Seconds() * 1e3,
+		zombieBlackoutMs: time.Duration(zombieDone-zombieIssued).Seconds() * 1e3,
 		staleRules:       float64(staleN),
 		divergent:        float64(cl.Journal.Divergent),
 		rejects:          float64(rejects),

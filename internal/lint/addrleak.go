@@ -90,13 +90,13 @@ var headerFields = map[string]bool{"SrcIP": true, "DstIP": true, "SrcMAC": true,
 
 func runAddrLeak(pass *Pass) error {
 	w := &alWalker{
-		pass:      pass,
-		secret:    map[types.Object]string{},
-		decls:     map[types.Object]*ast.FuncDecl{},
-		retMemo:   map[alKey]string{},
-		active:    map[alKey]bool{},
-		sinkMemo:  map[alKey]bool{},
-		reported:  map[token.Pos]bool{},
+		pass:     pass,
+		secret:   map[types.Object]string{},
+		decls:    map[types.Object]*ast.FuncDecl{},
+		retMemo:  map[alKey]string{},
+		active:   map[alKey]bool{},
+		sinkMemo: map[alKey]bool{},
+		reported: map[token.Pos]bool{},
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {

@@ -12,11 +12,11 @@ import (
 // handler returns does not slow the simulation down — it deadlocks it.
 //
 // Handler roots are the function values passed to the well-known
-// registration calls (sim.Engine.At/After, netsim.Host.SetHandler,
-// netsim.Network.AddTap/Notify — matched by method name so test fixtures
-// and future packages are covered too). From each root the analyzer walks
-// statically-resolvable calls into same-package functions (depth-limited)
-// and flags:
+// registration calls (sim.Engine.At/After, sim.NewLane/NewTimer,
+// netsim.Host.SetHandler, netsim.Network.AddTap/Notify — matched by name
+// so test fixtures and future packages are covered too). From each root
+// the analyzer walks statically-resolvable calls into same-package
+// functions (depth-limited) and flags:
 //
 //   - channel sends and receives outside a select with a default case,
 //   - selects without a default case,
@@ -35,6 +35,7 @@ var HandlerBlock = &Analyzer{
 // suppression away.
 var registrationMethods = map[string]bool{
 	"At": true, "After": true, "SetHandler": true, "AddTap": true, "Notify": true,
+	"NewLane": true, "NewTimer": true,
 }
 
 var blockingWaits = map[string]string{
@@ -89,7 +90,15 @@ func runHandlerBlock(pass *Pass) error {
 }
 
 func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
+	fun := call.Fun
+	// An explicit instantiation, NewLane[T](...), names its generic callee.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.SelectorExpr:
 		return fun.Sel.Name
 	case *ast.Ident:

@@ -91,6 +91,42 @@ func suppressed(e *Engine, ch chan int) {
 	})
 }
 
+// Lane and Timer mirror sim.NewLane and sim.NewTimer: their callbacks run
+// as engine events, so they are handler roots too.
+type Lane[T any] struct{}
+
+func NewLane[T any](e *Engine, fire func(T)) *Lane[T] { return nil }
+
+type Timer struct{}
+
+func NewTimer(e *Engine, fire func()) *Timer { return nil }
+
+func lanes(e *Engine, ch chan int, wg *sync.WaitGroup) {
+	NewLane(e, func(v int) {
+		ch <- v // want `channel send can block`
+	})
+	NewLane[int](e, func(v int) {
+		<-ch // want `channel receive can block`
+	})
+	NewTimer(e, func() {
+		wg.Wait() // want `sync.WaitGroup.Wait blocks`
+	})
+}
+
+type conn struct{ acks chan int }
+
+// onTimeout blocks; it is flagged because newConn passes the method value
+// to NewTimer.
+func (c *conn) onTimeout() {
+	c.acks <- 1 // want `channel send can block`
+}
+
+func newConn(e *Engine) *conn {
+	c := &conn{acks: make(chan int)}
+	NewTimer(e, c.onTimeout)
+	return c
+}
+
 // unregistered is exempt: the function is never installed as a handler.
 func unregistered(ch chan int) {
 	ch <- 9

@@ -3,6 +3,7 @@ package netsim
 import (
 	"mic/internal/addr"
 	"mic/internal/packet"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -20,8 +21,18 @@ type Host struct {
 
 	handler func(inPort int, p *packet.Packet)
 
+	// tx and rx carry frames through the host-stack latency in each
+	// direction; both are made on first use.
+	tx, rx *sim.Lane[portFrame]
+
 	RxPackets uint64
 	TxPackets uint64
+}
+
+// portFrame is a frame paired with the NIC port it leaves or arrived on.
+type portFrame struct {
+	port int
+	p    *packet.Packet
 }
 
 // Net returns the network the host is attached to.
@@ -36,9 +47,10 @@ func (h *Host) SetHandler(fn func(inPort int, p *packet.Packet)) { h.handler = f
 func (h *Host) Send(port int, p *packet.Packet) {
 	h.TxPackets++
 	h.net.CPU.Charge("stack", h.net.Cfg.CostHostPacket)
-	h.net.Eng.After(h.net.Cfg.HostLatency, func() {
-		h.net.send(h.ID, port, p)
-	})
+	if h.tx == nil {
+		h.tx = sim.NewLane(h.net.Eng, func(f portFrame) { h.net.send(h.ID, f.port, f.p) })
+	}
+	h.tx.After(h.net.Cfg.HostLatency, portFrame{port, p})
 }
 
 // recv delivers an arriving frame to the registered handler after the
@@ -54,9 +66,12 @@ func (h *Host) recv(inPort int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	h.net.Eng.After(h.net.Cfg.HostLatency, func() {
-		h.net.Stats.Delivered++
-		h.handler(inPort, p)
-		p.Release()
-	})
+	if h.rx == nil {
+		h.rx = sim.NewLane(h.net.Eng, func(f portFrame) {
+			h.net.Stats.Delivered++
+			h.handler(f.port, f.p)
+			f.p.Release()
+		})
+	}
+	h.rx.After(h.net.Cfg.HostLatency, portFrame{inPort, p})
 }

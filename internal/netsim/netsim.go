@@ -242,7 +242,6 @@ type Stats struct {
 // SetLinkDown stays cut when an attached switch crashes and later restores.
 type linkDir struct {
 	busyUntil sim.Time
-	queued    int
 	txBytes   uint64
 	drops     uint64
 	linkDown  bool // failed via SetLinkDown
@@ -254,12 +253,28 @@ type linkDir struct {
 	fault    *FaultProfile
 	faultRNG *sim.RNG
 
-	// dec is the shared "serialization finished" callback, built once so
-	// the per-frame schedule does not allocate a fresh closure.
-	dec func()
+	// departs holds the reserved departure mark of every frame still
+	// queued or serializing: the frame leaves the queue when the engine
+	// has passed its mark. Occupancy is read from it on demand, so leaving
+	// the queue needs no event of its own.
+	departs sim.Ring[sim.Mark]
+
+	// arrivals delivers frames to the peer in FIFO order. Faulted frames
+	// (corrupt, duplicated, reordered) are scheduled on the engine instead.
+	// Like every netsim lane it is made on first use: most ports of a
+	// large fabric never carry a data frame.
+	arrivals *sim.Lane[*packet.Packet]
 }
 
 func (d *linkDir) down() bool { return d.linkDown || d.swDown > 0 }
+
+// queued reports how many frames occupy the direction's queue now.
+func (d *linkDir) queued(eng *sim.Engine) int {
+	for d.departs.Len() > 0 && eng.Passed(*d.departs.Front()) {
+		d.departs.PopFront()
+	}
+	return d.departs.Len()
+}
 
 // Network binds a topology to the event engine.
 type Network struct {
@@ -557,7 +572,7 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	if dir.queued >= n.Cfg.QueueCapPackets {
+	if dir.queued(n.Eng) >= n.Cfg.QueueCapPackets {
 		dir.drops++
 		n.Stats.Dropped++
 		p.Release()
@@ -572,13 +587,9 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	}
 	done := start.Add(tx)
 	dir.busyUntil = done
-	dir.queued++
+	dir.departs.Push(n.Eng.Reserve(done))
 	dir.txBytes += uint64(wire)
 	n.Stats.TxBytes += uint64(wire)
-	if dir.dec == nil {
-		dir.dec = func() { dir.queued-- }
-	}
-	n.Eng.At(done, dir.dec)
 	arrive := done.Add(n.Cfg.LinkDelay)
 	switch fate {
 	case fateCorrupt:
@@ -599,7 +610,10 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 		n.Stats.Reordered++
 		n.Eng.At(arrive.Add(jitter), func() { n.recv(peer.Peer, peer.PeerPort, p) })
 	default:
-		n.Eng.At(arrive, func() { n.recv(peer.Peer, peer.PeerPort, p) })
+		if dir.arrivals == nil {
+			dir.arrivals = sim.NewLane(n.Eng, func(p *packet.Packet) { n.recv(peer.Peer, peer.PeerPort, p) })
+		}
+		dir.arrivals.At(arrive, p)
 	}
 }
 

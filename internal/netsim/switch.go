@@ -5,6 +5,7 @@ import (
 
 	"mic/internal/flowtable"
 	"mic/internal/packet"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -23,6 +24,10 @@ type Switch struct {
 	// Down marks a failed switch: it black-holes all traffic.
 	Down bool
 
+	// pipeline carries packets through the forwarding latency; it is made
+	// on first use.
+	pipeline *sim.Lane[execution]
+
 	// FenceEpoch is the highest controller fencing epoch this switch has
 	// seen on a mutating southbound message. State mutations carrying a
 	// lower epoch are rejected (AcceptFenced) — the switch-side half of the
@@ -37,6 +42,14 @@ type Switch struct {
 	Misses        uint64
 	CacheHits     uint64 // lookups served by the microflow cache (fast path)
 	StaleRejected uint64 // mutations rejected for carrying a stale fencing epoch
+}
+
+// execution is one packet waiting out the forwarding latency with the
+// actions to apply to it.
+type execution struct {
+	actions []flowtable.Action
+	inPort  int
+	p       *packet.Packet
 }
 
 // AcceptFenced checks a mutating southbound message's fencing epoch against
@@ -90,9 +103,10 @@ func (s *Switch) recv(inPort int, p *packet.Packet) {
 // so far; OutputGroup clones the packet per bucket (type ALL) — the
 // primitive behind MIC's partial multicast.
 func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packet) {
-	s.net.Eng.After(s.net.Cfg.SwitchLatency, func() {
-		s.run(actions, inPort, p)
-	})
+	if s.pipeline == nil {
+		s.pipeline = sim.NewLane(s.net.Eng, func(x execution) { s.run(x.actions, x.inPort, x.p) })
+	}
+	s.pipeline.After(s.net.Cfg.SwitchLatency, execution{actions, inPort, p})
 }
 
 // run applies actions immediately (forwarding latency already paid) and

@@ -2,10 +2,14 @@
 //
 // The engine owns a virtual clock and a priority queue of events. Events
 // scheduled for the same instant fire in the order they were scheduled, so a
-// run is a pure function of its inputs and RNG seeds. All network, protocol
-// and adversary code in this repository executes inside a single Engine;
-// parallelism is obtained by running independent engines (one per trial) on
-// separate goroutines, never by sharing one engine.
+// run is a pure function of its inputs and RNG seeds. Lanes (FIFO streams of
+// constant-delay events) and Timers (re-armable timeouts) share one queue
+// entry among many logical events without changing their firing order.
+//
+// All network, protocol and adversary code in this repository executes
+// inside a single Engine; parallelism is obtained by running independent
+// engines (one per trial) on separate goroutines, never by sharing one
+// engine.
 //
 // This package is part of the determinism contract (DESIGN.md).
 //
@@ -134,6 +138,26 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	ran     uint64
+
+	// pos is the key of the last event fired, or the RunUntil frontier once
+	// every event up to its deadline has fired. Every event keyed at or
+	// before pos has run; Passed compares against it.
+	pos Mark
+}
+
+// Mark is the queue key of one logical event: its virtual time and the
+// sequence number reserved when it was scheduled. Marks are totally ordered
+// the same way the queue is.
+type Mark struct {
+	At  Time
+	Seq uint64
+}
+
+func (m Mark) before(o Mark) bool {
+	if m.At != o.At {
+		return m.At < o.At
+	}
+	return m.Seq < o.Seq
 }
 
 // New returns a fresh engine with the clock at zero.
@@ -142,22 +166,39 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed reports how many events have fired so far.
+// Processed reports how many queue entries have fired so far: one per
+// plain event or lane item, plus any timer entry that came up early.
 func (e *Engine) Processed() uint64 { return e.ran }
 
-// Pending reports how many events are waiting in the queue.
+// Pending reports how many entries are waiting in the queue. A Lane holds
+// one entry for all of its items and a Timer at most a few, so this counts
+// queue entries, not logical events.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // At schedules do to run at virtual time t. Scheduling in the past panics:
 // it always indicates a protocol bug, and silently reordering time would
 // invalidate every measurement downstream.
 func (e *Engine) At(t Time, do func()) {
+	m := e.Reserve(t)
+	e.heap.push(event{at: m.At, seq: m.Seq, do: do})
+}
+
+// Reserve takes the key an event scheduled at t would get now, without
+// queueing anything. Passed later tells whether that event would have fired.
+// Reserving in the past panics, as At does. A reserved mark does not keep
+// Run going: a caller whose mark must not outlast the run queues a later
+// event, as a link does with each frame's arrival after its departure.
+func (e *Engine) Reserve(t Time) Mark {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, do: do})
+	return Mark{At: t, Seq: e.seq}
 }
+
+// Passed reports whether an event keyed m would already have fired: true
+// from inside the event at m and ever after.
+func (e *Engine) Passed(m Mark) bool { return !e.pos.before(m) }
 
 // After schedules do to run d from now. Negative d is clamped to zero.
 func (e *Engine) After(d Duration, do func()) {
@@ -177,6 +218,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.heap.pop()
 	e.now = ev.at
+	e.pos = Mark{At: ev.at, Seq: ev.seq}
 	e.ran++
 	ev.do()
 	return true
@@ -198,6 +240,11 @@ func (e *Engine) RunUntil(deadline Time) {
 			break
 		}
 		e.Step()
+	}
+	// Unless stopped early, every event keyed up to the deadline — queued
+	// or only reserved — is now past.
+	if f := (Mark{At: deadline, Seq: e.seq}); !e.stopped && !f.before(e.pos) {
+		e.pos = f
 	}
 	if e.now < deadline {
 		e.now = deadline

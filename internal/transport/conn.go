@@ -69,8 +69,9 @@ type Conn struct {
 	sampleAt     sim.Time
 	sampling     bool
 
-	// Retransmission timer.
-	timerGen   uint64
+	// Retransmission timer. timerArmed is the sender's view: it stays set
+	// after an expiry until the timeout handler or an ACK decides again.
+	rtx        *sim.Timer
 	timerArmed bool
 
 	// Counters.
@@ -89,6 +90,7 @@ func newConn(s *Stack, tuple packet.FiveTuple, passive bool) *Conn {
 		rto:      initialRTO,
 		ooo:      make(map[uint32][]byte),
 	}
+	c.rtx = sim.NewTimer(s.eng, c.onTimeout)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndMax = c.iss
@@ -490,19 +492,17 @@ func (c *Conn) retransmitOldest() {
 }
 
 func (c *Conn) armTimer() {
-	c.timerGen++
-	gen := c.timerGen
 	c.timerArmed = true
-	c.stack.after(c.rto, func() { c.onTimeout(gen) })
+	c.rtx.Reset(c.rto)
 }
 
 func (c *Conn) disarmTimer() {
-	c.timerGen++
 	c.timerArmed = false
+	c.rtx.Stop()
 }
 
-func (c *Conn) onTimeout(gen uint64) {
-	if gen != c.timerGen || c.state == stateClosed {
+func (c *Conn) onTimeout() {
+	if c.state == stateClosed {
 		return
 	}
 	if c.state == stateSynSent || c.state == stateSynRcvd {
